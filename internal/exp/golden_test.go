@@ -103,6 +103,31 @@ func TestGoldenTable4(t *testing.T) {
 	})
 }
 
+// TestGoldenFig6a pins the paper's headline grid (Fig. 6(a)) and the
+// endurance table derived from it (Fig. 7): one sweep feeds both CSVs.
+func TestGoldenFig6a(t *testing.T) {
+	var fig7 []byte
+	goldenSweep(t, "fig6a.csv", func(cfg SimConfig) ([]byte, error) {
+		data, err := Fig6a(cfg)
+		if err != nil {
+			return nil, err
+		}
+		var buf, buf7 bytes.Buffer
+		if err := WriteFig6aCSV(&buf, data); err != nil {
+			return nil, err
+		}
+		if err := WriteFig7CSV(&buf7, Fig7(data)); err != nil {
+			return nil, err
+		}
+		if fig7 != nil && !bytes.Equal(buf7.Bytes(), fig7) {
+			t.Errorf("fig7.csv: parallel=%d output differs from serial", cfg.Parallel)
+		}
+		fig7 = buf7.Bytes()
+		return buf.Bytes(), nil
+	})
+	checkGolden(t, "fig7.csv", fig7)
+}
+
 func TestGoldenReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reliability sweep is slow")
