@@ -167,10 +167,8 @@ func (r *Runner) stepAt(req trace.Request, at time.Duration) (time.Duration, err
 }
 
 // RunRequestsQD is RunRequests driven by the batched engine: it
-// preconditions the device, enables the inverted sensing-level table
-// (bit-identical to the rule, but cache misses cost float compares
-// instead of a binomial-tail search), and replays the stream with up to
-// qd requests outstanding.
+// preconditions the device and replays the stream with up to qd
+// requests outstanding.
 func (r *Runner) RunRequestsQD(name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
 	return r.RunRequestsQDCtx(nil, name, reqs, workingSet, qd)
 }
@@ -179,9 +177,6 @@ func (r *Runner) RunRequestsQD(name string, reqs []trace.Request, workingSet uin
 // StepBatchCtx). A cancelled replay returns the context's error; the
 // metrics of the completed prefix remain available through Finish.
 func (r *Runner) RunRequestsQDCtx(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
-	if err := r.EnableScheduler(); err != nil {
-		return Metrics{}, err
-	}
 	if err := r.Prepare(reqs, workingSet); err != nil {
 		return Metrics{}, err
 	}
@@ -191,13 +186,10 @@ func (r *Runner) RunRequestsQDCtx(ctx context.Context, name string, reqs []trace
 	return r.Finish(name), nil
 }
 
-// EnableScheduler switches the device into scheduler mode (inverted
-// sensing-level table + per-channel in-flight tracking). RunRequestsQD
-// does this implicitly; long-running drivers that issue requests one at
-// a time through StepAt (the serve daemon) call it once at startup.
-func (r *Runner) EnableScheduler() error {
-	return r.device.EnableLevelTable()
-}
+// EnableScheduler does nothing and returns nil: every device reads
+// through the shared sensing-level table, so there is no mode to
+// enable. It remains only for existing callers.
+func (r *Runner) EnableScheduler() error { return nil }
 
 // StepAt replays one request submitted at time at — which under
 // queue-depth batching or a live server's admission queue may be later

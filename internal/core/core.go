@@ -20,6 +20,7 @@ import (
 	"flexlevel/internal/accesseval"
 	"flexlevel/internal/baseline"
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/sensing"
 	"flexlevel/internal/ssd"
 	"flexlevel/internal/trace"
 )
@@ -184,8 +185,9 @@ type Metrics struct {
 	// ssd.Results.MetaBytes).
 	MetaBytes int64
 
-	// Hot-path cache activity over the measured window: the device's
-	// level cache and the BER surface behind its BERFunc.
+	// Hot-path lookup activity over the measured window: the device's
+	// sensing-level table (see ssd.CacheStats) and the BER surface
+	// behind its BERFunc.
 	LevelCache ssd.CacheStats
 	BERCache   ssd.CacheStats
 
@@ -231,8 +233,12 @@ func NewRunner(opts Options) (*Runner, error) {
 	case Baseline:
 		// Worst-case fixed sensing: the levels needed at the maximum
 		// retention age for this P/E point.
+		tab, err := sensing.TableFor(opts.SSD.Rule)
+		if err != nil {
+			return nil, err
+		}
 		worstBER := berOf(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours)
-		levels, _ := opts.SSD.Rule.RequiredLevels(worstBER)
+		levels, _ := tab.RequiredLevels(worstBER)
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
 		policy = baseline.NewLDPCInSSD()

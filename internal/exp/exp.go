@@ -24,8 +24,8 @@ import (
 	"flexlevel/internal/trace"
 )
 
-// addCacheCounters records a run's hot-path cache activity (the device
-// level cache and the BER surface) as engine counters, so every
+// addCacheCounters records a run's hot-path lookup activity (the shared
+// sensing-level table and the BER surface) as engine counters, so every
 // simulation sweep's <name>_summary.json reports aggregate hit/miss/
 // reset totals alongside its timing.
 func addCacheCounters(s runner.Shard, level, ber ssd.CacheStats) {

@@ -1021,13 +1021,15 @@ func (f *FTL) pickVictim() int {
 	best, bestValid := -1, 1<<31
 	for b := 0; b < f.cfg.Blocks; b++ {
 		usable := f.usablePages(f.blockState[b])
-		if f.bad.Get(b) || f.isActive(b) || int(f.blockUsed[b]) < usable {
-			continue // retired, still open, or free
+		if f.bad.Get(b) || int(f.blockUsed[b]) < usable {
+			continue // retired, or still open / free
 		}
 		if f.blockUsed[b] == 0 || int(f.blockValid[b]) >= usable {
 			continue // free, or fully valid: no garbage to reclaim
 		}
-		if int(f.blockValid[b]) < bestValid {
+		// The open-block check scans the active set, so it runs only for
+		// a block that would otherwise become the new best.
+		if int(f.blockValid[b]) < bestValid && !f.isActive(b) {
 			best, bestValid = b, int(f.blockValid[b])
 		}
 	}

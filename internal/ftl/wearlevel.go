@@ -62,10 +62,10 @@ func (f *FTL) LevelWear(threshold int) (OpCount, bool) {
 	victim := -1
 	for b := 0; b < f.cfg.Blocks; b++ {
 		usable := f.usablePages(f.blockState[b])
-		if f.bad.Get(b) || f.isActive(b) || int(f.blockUsed[b]) < usable || f.blockValid[b] == 0 {
+		if f.bad.Get(b) || int(f.blockUsed[b]) < usable || f.blockValid[b] == 0 {
 			continue
 		}
-		if victim == -1 || f.blockPE[b] < f.blockPE[victim] {
+		if (victim == -1 || f.blockPE[b] < f.blockPE[victim]) && !f.isActive(b) {
 			victim = b
 		}
 	}

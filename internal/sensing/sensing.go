@@ -8,6 +8,7 @@ package sensing
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"flexlevel/internal/noise"
@@ -48,7 +49,7 @@ func (r LevelRule) Validate() error {
 	if err := r.Code.Validate(); err != nil {
 		return err
 	}
-	if r.Target <= 0 || r.Target >= 1 {
+	if !(r.Target > 0 && r.Target < 1) { // NaN fails too
 		return fmt.Errorf("sensing: target UBER %g out of range", r.Target)
 	}
 	if r.KBase <= 0 || r.KStep <= 0 {
@@ -80,13 +81,14 @@ func (r LevelRule) RequiredLevels(pc float64) (levels int, ok bool) {
 	return levels, true
 }
 
-// LevelTable is an inverted LevelRule. RequiredLevels on the rule runs
-// a binary search whose every probe sums a log-domain binomial tail —
-// ~17 tail evaluations per call, which profiling shows is where nearly
-// all replay wall-clock goes on level-cache misses. The table instead
-// precomputes, once, the highest raw BER each level count can tolerate
+// LevelTable is an inverted LevelRule and the only way the simulator
+// evaluates it on the read path. RequiredLevels on the rule runs a
+// binary search whose every probe sums a log-domain binomial tail — ~17
+// tail evaluations per call. The table instead precomputes, once per
+// process (TableFor), the highest raw BER each level count can tolerate
 // (there are only MaxExtraLevels+1 of them), turning a lookup into at
-// most 8 float comparisons.
+// most 8 float comparisons. The rule stays as the oracle the table is
+// tested against.
 //
 // Lookups agree exactly with the rule: the per-level bisection keeps an
 // explicit bracket [okBelow, failAt) — okBelow is a BER proven to meet
@@ -96,17 +98,44 @@ func (r LevelRule) RequiredLevels(pc float64) (levels int, ok bool) {
 // tail is monotone in both k and pc: the rule's bucketed
 // ceil((RequiredK-KBase)/KStep) equals the smallest L whose capability
 // KBase+L*KStep meets the target, which is what the table answers.
+//
+// A table is immutable after construction, so one instance is safe to
+// share across goroutines.
 type LevelTable struct {
 	rule    LevelRule
 	okBelow [MaxExtraLevels + 1]float64 // highest pc proven to meet the target with L levels
 	failAt  [MaxExtraLevels + 1]float64 // lowest pc proven to miss it
 }
 
-// NewLevelTable precomputes the BER thresholds for rule.
-func NewLevelTable(rule LevelRule) (*LevelTable, error) {
+// tables memoizes TableFor by rule value.
+var tables struct {
+	sync.Mutex
+	byRule map[LevelRule]*LevelTable
+}
+
+// TableFor returns the process-wide level table for rule, building it on
+// first use. Every device reading under the same rule shares the one
+// immutable instance, so the ~10 ms of tail evaluations a build costs
+// is paid once per process, not once per device.
+func TableFor(rule LevelRule) (*LevelTable, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
+	tables.Lock()
+	defer tables.Unlock()
+	if t, ok := tables.byRule[rule]; ok {
+		return t, nil
+	}
+	t := newLevelTable(rule)
+	if tables.byRule == nil {
+		tables.byRule = make(map[LevelRule]*LevelTable)
+	}
+	tables.byRule[rule] = t
+	return t, nil
+}
+
+// newLevelTable precomputes the BER thresholds for a validated rule.
+func newLevelTable(rule LevelRule) *LevelTable {
 	t := &LevelTable{rule: rule}
 	for l := 0; l <= MaxExtraLevels; l++ {
 		k := rule.KBase + l*rule.KStep
@@ -130,7 +159,7 @@ func NewLevelTable(rule LevelRule) (*LevelTable, error) {
 		}
 		t.okBelow[l], t.failAt[l] = lo, hi
 	}
-	return t, nil
+	return t
 }
 
 // Rule returns the rule the table inverts.
@@ -138,19 +167,29 @@ func (t *LevelTable) Rule() LevelRule { return t.rule }
 
 // RequiredLevels returns exactly what t.Rule().RequiredLevels returns.
 func (t *LevelTable) RequiredLevels(pc float64) (levels int, ok bool) {
+	levels, ok, _ = t.Lookup(pc)
+	return levels, ok
+}
+
+// Lookup is RequiredLevels that also reports whether the thresholds
+// alone answered: probed is true when pc fell inside a bracket and the
+// rule's uber.MeetsTarget predicate had to run.
+func (t *LevelTable) Lookup(pc float64) (levels int, ok, probed bool) {
 	if pc <= 0 {
-		return 0, true
+		return 0, true, false
 	}
 	for l := 0; l <= MaxExtraLevels; l++ {
 		if pc <= t.okBelow[l] {
-			return l, true
+			return l, true, probed
 		}
-		if pc < t.failAt[l] &&
-			uber.MeetsTarget(t.rule.Code, t.rule.KBase+l*t.rule.KStep, pc, t.rule.Target) {
-			return l, true
+		if pc < t.failAt[l] {
+			probed = true
+			if uber.MeetsTarget(t.rule.Code, t.rule.KBase+l*t.rule.KStep, pc, t.rule.Target) {
+				return l, true, true
+			}
 		}
 	}
-	return MaxExtraLevels, false
+	return MaxExtraLevels, false, probed
 }
 
 // TriggerBER returns the raw BER above which the first extra sensing

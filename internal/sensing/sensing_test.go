@@ -220,9 +220,9 @@ func TestQuantizerNearBoundaryWeak(t *testing.T) {
 // rule everywhere, including exactly at and adjacent to each threshold.
 func TestLevelTableMatchesRule(t *testing.T) {
 	r := DefaultRule()
-	tab, err := NewLevelTable(r)
+	tab, err := TableFor(r)
 	if err != nil {
-		t.Fatalf("NewLevelTable: %v", err)
+		t.Fatalf("TableFor: %v", err)
 	}
 	check := func(pc float64) {
 		t.Helper()
@@ -258,7 +258,12 @@ func TestLevelTableMatchesRule(t *testing.T) {
 func TestLevelTableValidation(t *testing.T) {
 	bad := DefaultRule()
 	bad.KStep = 0
-	if _, err := NewLevelTable(bad); err == nil {
+	if _, err := TableFor(bad); err == nil {
 		t.Error("invalid rule accepted")
+	}
+	nan := DefaultRule()
+	nan.Target = math.NaN()
+	if _, err := TableFor(nan); err == nil {
+		t.Error("NaN target accepted")
 	}
 }

@@ -9,6 +9,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,7 +55,10 @@ type LoadConfig struct {
 // of the server. Sizing the idle pool to the concurrency (with
 // headroom for retry bursts) means every connection dialed during
 // warmup is kept and reused: zero extra dials after warmup, which
-// TestLoadReusesConnections pins.
+// TestLoadReusesConnections pins. MaxConnsPerHost caps the pool at the
+// worker fleet: without it, net/http dials a fresh connection whenever a
+// worker's next request races the return of its previous connection to
+// the idle pool.
 func LoadTransport(concurrency int) *http.Transport {
 	if concurrency < 1 {
 		concurrency = 1
@@ -67,6 +71,7 @@ func LoadTransport(concurrency int) *http.Transport {
 		}).DialContext,
 		MaxIdleConns:        2 * concurrency,
 		MaxIdleConnsPerHost: 2 * concurrency,
+		MaxConnsPerHost:     concurrency,
 		IdleConnTimeout:     90 * time.Second,
 	}
 }
@@ -160,6 +165,7 @@ func Load(cfg LoadConfig) (LoadResult, error) {
 	agg := &loadAgg{seen: make(map[string]map[uint64]struct{})}
 	agg.res.MaxSeq = make(map[string]uint64)
 	agg.res.WriteAcks = make(map[string]int64)
+	warmPool(cfg.Client, cfg.BaseURL, cfg.Workers*len(cfg.Tenants))
 	start := time.Now()
 	var wg sync.WaitGroup
 	for ti, t := range cfg.Tenants {
@@ -184,6 +190,41 @@ func Load(cfg LoadConfig) (LoadResult, error) {
 	wg.Wait()
 	agg.res.WallSeconds = time.Since(start).Seconds()
 	return agg.res, nil
+}
+
+// warmPool opens n keep-alive connections before the measured run. n
+// concurrent /healthz probes each hold their response, and with it
+// their connection, until every probe has one, so no two probes share
+// a connection and the client's idle pool ends up holding n. Without
+// it, how many connections a run opens depends on the scheduler: a
+// worker whose first request starts after a neighbour's response
+// reuses that connection, and a later, busier run dials the rest. The
+// probes are best effort: errors are ignored, and a probe stuck behind
+// a client's connection cap gives up at the deadline, which releases
+// the probes waiting on it.
+func warmPool(client *http.Client, baseURL string, n int) {
+	ctx, cancel := context.WithTimeout(context.TODO(), 5*time.Second)
+	defer cancel()
+	var held, done sync.WaitGroup
+	held.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
+			var resp *http.Response
+			if err == nil {
+				resp, err = client.Do(req)
+			}
+			held.Done()
+			held.Wait()
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	done.Wait()
 }
 
 // loadWorker completes budget ops against one tenant, closed-loop.

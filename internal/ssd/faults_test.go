@@ -163,24 +163,6 @@ func TestZeroRateFaultsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestLevelCacheBounded(t *testing.T) {
-	d, err := New(smallConfig(), agedBER(1e-9), baseline.Oracle{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Preload(512); err != nil {
-		t.Fatal(err)
-	}
-	// Each read happens at a new time, so its retention age — and its
-	// BER — is a fresh continuous value.
-	for i := 0; i < 3*levelCacheCap; i++ {
-		d.Read(time.Duration(i)*time.Hour, uint64(i)%512)
-		if len(d.levelCache) > levelCacheCap {
-			t.Fatalf("level cache grew to %d entries (cap %d)", len(d.levelCache), levelCacheCap)
-		}
-	}
-}
-
 // TestScriptedFaultScenario is the acceptance scenario: a program
 // failure is retried on a fresh block, erase failures retire blocks into
 // the spare pool, and once the spares are gone the device degrades —

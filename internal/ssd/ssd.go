@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"flexlevel/internal/baseline"
@@ -176,10 +175,12 @@ func (c Config) channels() int {
 	return c.Channels
 }
 
-// CacheStats counts the activity of one hot-path memoization layer.
-// Hits and misses are per consultation; Resets counts cap-overflow
-// compactions (and, for the level cache, crash restarts that drop the
-// volatile controller RAM).
+// CacheStats counts the activity of one hot-path lookup layer. Hits and
+// misses are per consultation; Resets counts cap-overflow compactions.
+// For the sensing-level table (Results.LevelCache) a hit is a lookup the
+// precomputed thresholds answered, a miss one that fell inside a
+// threshold bracket and ran the rule's uber.MeetsTarget predicate, and
+// Resets stays 0: the table is immutable.
 type CacheStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -268,10 +269,11 @@ type Results struct {
 	// ResetMeasurement does not zero it.
 	MetaBytes int64
 
-	// Cache observability (DESIGN.md §11): the per-device level cache
-	// (quantized BER -> sensing levels) and the BER surface backing the
-	// device's BERFunc, when the caller registered one via
-	// SetBERCacheStats. Counters cover the current measurement window.
+	// Lookup observability (DESIGN.md §11): the shared sensing-level
+	// table (see CacheStats for what its hits and misses mean) and the
+	// BER surface backing the device's BERFunc, when the caller
+	// registered one via SetBERCacheStats. Counters cover the current
+	// measurement window.
 	LevelCache CacheStats
 	BERCache   CacheStats
 
@@ -302,14 +304,14 @@ type Device struct {
 	progTime  []time.Duration
 	birth     []int32
 
-	chans []channel // per-channel FIFO tail + in-flight completion heap
-	seq   uint64    // monotone op sequence; breaks completion-time ties
-	track bool      // register ops on the in-flight heaps (scheduler mode)
+	// chanFree is, per flash channel, the time its FIFO frees: new work
+	// on the channel starts service no earlier.
+	chanFree []time.Duration
 
-	// levels evaluates the sensing-level rule on a cache miss. It starts
-	// as the direct bisection rule and EnableLevelTable swaps in the
-	// (provably equivalent) inverted threshold table.
-	levels func(pc float64) (levels int, ok bool)
+	// levels is the process-wide inverted sensing-level table for
+	// Config.Rule (sensing.TableFor), shared read-only with every other
+	// device built under the same rule.
+	levels *sensing.LevelTable
 
 	res       Results
 	rng       *rand.Rand
@@ -320,8 +322,6 @@ type Device struct {
 	// ftlPrior carries the dead FTL's counters across the swap.
 	crashed  bool
 	ftlPrior ftl.Stats
-
-	levelCache map[int64]*levelEntry // quantized BER -> required levels
 
 	// attemptsBuf is the reusable scratch the read path hands to
 	// baseline.AttemptAppender policies, so steady-state reads allocate
@@ -344,208 +344,19 @@ type Device struct {
 	lower      interface{ Lower(int, int) }
 }
 
-// levelCacheCap bounds the level cache; BER is a continuous input, so an
-// uncapped map would grow without limit on long runs. On overflow the
-// hottest quarter of the entries survives (see compactLevelCache); the
-// memoized function is deterministic, so dropped entries only cost
-// recomputation.
-const levelCacheCap = 8192
-
-// berKey quantizes a BER to ~1e-5 relative resolution in log space so
-// continuous BER values collapse onto a finite key set. The level rule's
-// step boundaries are orders of magnitude wider than the quantum, so the
-// quantization does not change computed levels in practice. The key is
-// an integer: float64 map keys hash poorly in this range and leave the
-// -0/+0 ambiguity open (both quantize to key 0 here, but -0 == +0 as
-// int64 where they were distinct bit patterns as floats).
-func berKey(ber float64) int64 {
-	if ber <= 0 {
-		return math.MinInt64
-	}
-	return int64(math.Round(math.Log(ber) * 1e5))
-}
-
-type levelEntry struct {
-	levels     int
-	achievable bool
-	hits       int64
-}
-
-// compactLevelCache shrinks a full level cache to its hottest quarter
-// instead of dropping the whole map. Survivors are chosen by hit count
-// (ties broken by key) so the selection is deterministic; kept entries
-// restart their hit counts to avoid fossilizing early winners.
-func (d *Device) compactLevelCache() {
-	type kv struct {
-		key int64
-		e   *levelEntry
-	}
-	entries := make([]kv, 0, len(d.levelCache))
-	for k, e := range d.levelCache {
-		entries = append(entries, kv{k, e})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].e.hits != entries[j].e.hits {
-			return entries[i].e.hits > entries[j].e.hits
-		}
-		return entries[i].key < entries[j].key
-	})
-	keep := levelCacheCap / 4
-	if keep > len(entries) {
-		keep = len(entries)
-	}
-	d.levelCache = make(map[int64]*levelEntry, levelCacheCap/4)
-	for _, it := range entries[:keep] {
-		it.e.hits = 0
-		d.levelCache[it.key] = it.e
-	}
-	d.res.LevelCache.Resets++
-}
-
 // channelOf maps a physical block to its flash channel.
-func (d *Device) channelOf(block int) int { return block % len(d.chans) }
-
-// chanOp is one in-flight flash operation on a channel.
-type chanOp struct {
-	complete time.Duration
-	seq      uint64 // submission order; breaks completion-time ties
-}
-
-// opLess orders in-flight ops by (completion time, submission seq) —
-// the deterministic completion order the batched replay engine relies
-// on.
-func opLess(a, b chanOp) bool {
-	if a.complete != b.complete {
-		return a.complete < b.complete
-	}
-	return a.seq < b.seq
-}
-
-// channel is one independent flash channel: the FIFO busy-until tail
-// that decides when new work starts service, plus a min-heap of
-// in-flight operations for out-of-order completion queries (which op
-// finishes next, how many are outstanding). The heap is hand-rolled on
-// a reused backing slice — ops are pruned lazily when new work arrives
-// — so the steady-state read path allocates nothing.
-type channel struct {
-	free     time.Duration
-	inflight []chanOp
-}
-
-// push registers an op, first retiring ops already complete at now.
-func (c *channel) push(op chanOp, now time.Duration) {
-	for len(c.inflight) > 0 && c.inflight[0].complete <= now {
-		c.pop()
-	}
-	c.inflight = append(c.inflight, op)
-	i := len(c.inflight) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !opLess(c.inflight[i], c.inflight[parent]) {
-			break
-		}
-		c.inflight[i], c.inflight[parent] = c.inflight[parent], c.inflight[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest-completing op.
-func (c *channel) pop() chanOp {
-	h := c.inflight
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	c.inflight = h
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && opLess(h[l], h[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && opLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
-}
+func (d *Device) channelOf(block int) int { return block % len(d.chanFree) }
 
 // charge occupies channel ch FIFO-style: service begins when the
 // channel frees (or at now when idle) and the channel stays busy until
-// it ends; the completion time is returned. In scheduler mode the op
-// also joins the channel's in-flight heap under a fresh sequence
-// number — the legacy serial path skips the registration so its read
-// cost stays exactly the pre-scheduler scalar update.
+// it ends; the completion time is returned.
 func (d *Device) charge(ch int, now, service time.Duration) time.Duration {
-	c := &d.chans[ch]
 	start := now
-	if c.free > start {
-		start = c.free
+	if d.chanFree[ch] > start {
+		start = d.chanFree[ch]
 	}
-	complete := start + service
-	c.free = complete
-	if d.track {
-		d.seq++
-		c.push(chanOp{complete: complete, seq: d.seq}, now)
-	}
-	return complete
-}
-
-// InFlight returns the number of operations still outstanding at now
-// across all channels (ops that already completed are pruned). Ops are
-// only registered in scheduler mode (EnableLevelTable); outside it the
-// device always reports an empty window.
-func (d *Device) InFlight(now time.Duration) int {
-	n := 0
-	for i := range d.chans {
-		c := &d.chans[i]
-		for len(c.inflight) > 0 && c.inflight[0].complete <= now {
-			c.pop()
-		}
-		n += len(c.inflight)
-	}
-	return n
-}
-
-// NextCompletion returns the earliest completion among operations still
-// in flight at now; ok is false when every channel is idle.
-func (d *Device) NextCompletion(now time.Duration) (at time.Duration, ok bool) {
-	var best chanOp
-	for i := range d.chans {
-		c := &d.chans[i]
-		for len(c.inflight) > 0 && c.inflight[0].complete <= now {
-			c.pop()
-		}
-		if len(c.inflight) > 0 && (!ok || opLess(c.inflight[0], best)) {
-			best = c.inflight[0]
-			ok = true
-		}
-	}
-	return best.complete, ok
-}
-
-// EnableLevelTable switches the device into scheduler mode: sensing
-// levels are evaluated through the precomputed inverted threshold
-// table instead of the direct bisection rule, and every charged op is
-// registered on its channel's in-flight heap (InFlight /
-// NextCompletion). Outputs are bit-identical (sensing.LevelTable
-// provably agrees with the rule everywhere) but a level-cache miss
-// drops from ~17 binomial-tail evaluations to at most 8 float
-// comparisons. The batched replay engine enables it; the legacy serial
-// path keeps the direct rule and the untracked scalar channels.
-func (d *Device) EnableLevelTable() error {
-	tab, err := sensing.NewLevelTable(d.cfg.Rule)
-	if err != nil {
-		return err
-	}
-	d.levels = tab.RequiredLevels
-	d.track = true
-	return nil
+	d.chanFree[ch] = start + service
+	return d.chanFree[ch]
 }
 
 // newReadSample builds the read response-time sample the config asks
@@ -575,12 +386,11 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 	}
 	phys := cfg.FTL.PagesPerBlock * cfg.FTL.Blocks
 	d := &Device{
-		cfg:        cfg,
-		ftl:        f,
-		berOf:      berOf,
-		policy:     policy,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		levelCache: make(map[int64]*levelEntry),
+		cfg:    cfg,
+		ftl:    f,
+		berOf:  berOf,
+		policy: policy,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.PackedMeta {
 		d.birth = make([]int32, phys)
@@ -612,8 +422,10 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 		// owns retirement and remapping; read faults are injected here.
 		f.Fault = inj.Fails
 	}
-	d.chans = make([]channel, cfg.channels())
-	d.levels = cfg.Rule.RequiredLevels
+	if d.levels, err = sensing.TableFor(cfg.Rule); err != nil {
+		return nil, err
+	}
+	d.chanFree = make([]time.Duration, cfg.channels())
 	d.res.ReadSample = d.newReadSample()
 	f.OnRelocate = func(lpn uint64, oldPPN, newPPN int64) {
 		// A GC copy reprograms the data: retention age restarts.
@@ -687,11 +499,7 @@ func (d *Device) PreloadState(pages uint64, state ftl.BlockState) error {
 // regular Write path (instead of Preload) use it to start a clean
 // measured phase.
 func (d *Device) ResetMeasurement() {
-	for i := range d.chans {
-		d.chans[i].free = 0
-		d.chans[i].inflight = d.chans[i].inflight[:0]
-	}
-	d.seq = 0
+	clear(d.chanFree)
 	d.res = Results{ReadSample: d.newReadSample()}
 	d.faultBase = d.inj.Stats()
 	if d.berStats != nil {
@@ -703,7 +511,7 @@ func (d *Device) ResetMeasurement() {
 
 // SetBERCacheStats registers a counter snapshot function for the cache
 // behind the device's BERFunc, so Results can report BER-cache activity
-// for the measurement window alongside the level cache's.
+// for the measurement window alongside the level table's.
 func (d *Device) SetBERCacheStats(fn func() CacheStats) {
 	d.berStats = fn
 	if fn != nil {
@@ -799,21 +607,15 @@ func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) f
 }
 
 // levelsForBER answers the sensing-level rule for a raw BER through the
-// level cache. It is the shared back end of the read path and of
+// level table. It is the common back end of the read path and of
 // calibration probes (which feed it shifted BERs).
 func (d *Device) levelsForBER(ber float64) (int, bool) {
-	key := berKey(ber)
-	if e, ok := d.levelCache[key]; ok {
-		e.hits++
+	levels, achievable, probed := d.levels.Lookup(ber)
+	if probed {
+		d.res.LevelCache.Misses++
+	} else {
 		d.res.LevelCache.Hits++
-		return e.levels, e.achievable
 	}
-	d.res.LevelCache.Misses++
-	levels, achievable := d.levels(ber)
-	if len(d.levelCache) >= levelCacheCap {
-		d.compactLevelCache()
-	}
-	d.levelCache[key] = &levelEntry{levels: levels, achievable: achievable}
 	return levels, achievable
 }
 
@@ -1039,7 +841,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	ch := d.channelOf(int(ppn) / d.cfg.FTL.PagesPerBlock)
 	d.charge(ch, now, d.opsTime(ops))
 
-	backlog := d.chans[ch].free - now
+	backlog := d.chanFree[ch] - now
 	allowance := time.Duration(d.cfg.BufferPages) * d.cfg.Timing.Program
 	resp := d.cfg.BufferLatency
 	if backlog > allowance {
@@ -1087,7 +889,7 @@ func (d *Device) Crashed() bool { return d.crashed }
 
 // Crash records a sudden power loss: everything volatile — the write
 // buffer, the channel queues, the policy's read-retry memory, the
-// level cache — is gone, and the device refuses service until Restart.
+// calibration shifts — is gone, and the device refuses service until Restart.
 // The FTL's durable media image (OOB, journal, checkpoint) survives.
 // Called automatically when an injected PowerLoss fault surfaces from
 // the FTL; callable directly to script a crash at an arbitrary point.
@@ -1102,9 +904,9 @@ func (d *Device) Crash() {
 // Restart powers the device back on at time now: it reruns crash
 // recovery from the durable media image (checkpoint load, journal
 // replay, full OOB scan), swaps in the recovered FTL with the device's
-// hooks rewired, drops all volatile caches, and charges the recovery
-// work as device-wide busy time — every channel is unavailable until
-// recovery completes. A second power cut during recovery (injected via
+// hooks rewired, resets the volatile controller state, and charges the
+// recovery work as device-wide busy time — every channel is unavailable
+// until recovery completes. A second power cut during recovery (injected via
 // the fault script) leaves the device crashed; Restart can simply be
 // called again.
 func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
@@ -1130,10 +932,8 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 		d.resetAge(newPPN, d.Now())
 	}
 	d.wireOnErase(f)
-	// Controller RAM did not survive: the level cache, the policy's
-	// per-block sensing memory and the calibration tracker start cold.
-	d.levelCache = make(map[int64]*levelEntry)
-	d.res.LevelCache.Resets++
+	// Controller RAM did not survive: the policy's per-block sensing
+	// memory and the calibration tracker start cold.
 	if r, ok := d.policy.(interface{ Reset() }); ok {
 		r.Reset()
 	}
@@ -1145,9 +945,8 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	// programs. Whatever was queued on the channels died with the power.
 	rt := time.Duration(rep.TotalReads())*d.cfg.Timing.Read +
 		time.Duration(rep.CheckpointWritePages)*d.cfg.Timing.Program
-	for i := range d.chans {
-		d.chans[i].free = now + rt
-		d.chans[i].inflight = d.chans[i].inflight[:0]
+	for i := range d.chanFree {
+		d.chanFree[i] = now + rt
 	}
 	d.res.RecoveryReads += int64(rep.TotalReads())
 	d.res.RecoveryRecords += int64(rep.RecordsReplayed)
@@ -1189,8 +988,8 @@ func (d *Device) Degraded() bool { return d.ftl.Degraded() }
 // work.
 func (d *Device) Now() time.Duration {
 	var max time.Duration
-	for i := range d.chans {
-		if t := d.chans[i].free; t > max {
+	for _, t := range d.chanFree {
+		if t > max {
 			max = t
 		}
 	}
